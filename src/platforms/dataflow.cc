@@ -30,8 +30,8 @@ struct MessageRow {
   double value;
 };
 
-// The dataflow runtime: tracks row processing, shuffles (real sorts),
-// memory for double-buffered shuffle files, and cross-machine bytes.
+// The dataflow runtime: tracks row processing, shuffle charges, memory
+// for double-buffered shuffle files, and cross-machine bytes.
 class DataflowRuntime {
  public:
   DataflowRuntime(JobContext& ctx, const Graph& graph)
@@ -55,25 +55,11 @@ class DataflowRuntime {
     ctx_.ledger().rows_materialized += rows;
   }
 
-  // Real shuffle: sorts messages by destination and charges comparison
-  // costs plus cross-machine traffic (a row moves when the destination
-  // vertex's machine differs from the source's hash partition).
-  void Shuffle(std::vector<MessageRow>* messages,
-               std::int64_t row_bytes = kRowBytes) {
-    if (messages->empty()) return;
-    ChargeShuffle(messages->size(), row_bytes);
-    std::sort(messages->begin(), messages->end(),
-              [](const MessageRow& a, const MessageRow& b) {
-                return a.dst < b.dst;
-              });
-  }
-
-  // Shuffle variant for order-insensitive groupings (CDLP's mode counts a
+  // Shuffle for order-insensitive groupings (CDLP's mode counts a
   // multiset): a stable bucket scatter by destination, O(rows + n)
-  // instead of a comparison sort. Simulated charges are identical to
-  // Shuffle's — only the host-side grouping mechanism is cheaper; the
-  // within-group row order differs, which a counting aggregation cannot
-  // observe. Scatter scratch is pooled across iterations.
+  // instead of a comparison sort. The within-group row order is emission
+  // order, which a counting aggregation cannot observe. Scatter scratch
+  // is pooled across iterations.
   void ShuffleByDestination(std::vector<MessageRow>* messages,
                             VertexIndex num_vertices,
                             std::int64_t row_bytes) {
@@ -95,8 +81,13 @@ class DataflowRuntime {
     messages->swap(shuffle_scratch_);
   }
 
- private:
+  // Charges a shuffle of `rows` rows by destination: comparison costs
+  // plus cross-machine traffic (a row moves when the destination vertex's
+  // machine differs from the source's hash partition). An empty shuffle
+  // charges nothing. How the host groups the rows is up to each
+  // algorithm; no grouping changes the charge.
   void ChargeShuffle(std::size_t rows, std::int64_t row_bytes) {
+    if (rows == 0) return;
     const double log_rows =
         std::max(1.0, std::log2(static_cast<double>(rows)));
     ChargeRows(static_cast<std::uint64_t>(
@@ -123,7 +114,6 @@ class DataflowRuntime {
     }
   }
 
- public:
   // Shuffle files + materialised RDD of this iteration stay resident until
   // the next iteration replaces them (GraphX unpersists the previous one).
   Status ChargeIterationBuffers(std::uint64_t rows, std::int64_t row_bytes) {
@@ -159,15 +149,17 @@ class DataflowRuntime {
   std::vector<MessageRow> shuffle_scratch_;  // bucket-scatter target
 };
 
-// GraphX-Pregel skeleton over double-valued vertex state.
+// GraphX-Pregel skeleton over double-valued vertex state (BFS, SSSP, WCC).
 //
 //   send(edge_source_state, edge, forward?) -> optional message value
 //   merge(a, b) -> combined message
 //   apply(v, old_state, merged) -> new state
 //
-// `reverse_sends` additionally evaluates each edge in the reverse
-// direction (GraphX triplets can message both endpoints), used by WCC and
-// CDLP on directed graphs.
+// `merge` must be commutative and associative: each row folds into its
+// destination's inbox in emission order, which is not the order of the
+// shuffle the model charges. `reverse_sends` additionally evaluates each
+// edge in the reverse direction (GraphX triplets can message both
+// endpoints), used by WCC on directed graphs.
 template <typename SendFn, typename MergeFn, typename ApplyFn>
 Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
                        DataflowRuntime& runtime,
@@ -176,8 +168,9 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
                        bool reverse_sends, std::int64_t row_bytes,
                        double row_op_factor, const std::string& label,
                        SendFn&& send, MergeFn&& merge, ApplyFn&& apply) {
-  std::vector<MessageRow> messages;
   exec::SlotBuffers<MessageRow> emitted;
+  std::vector<double> inbox(state->size());
+  std::vector<char> has_mail;
   std::vector<char> next_active;
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
     bool any_active = false;
@@ -198,9 +191,8 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
 
     // Triplet phase: the FULL edge table is scanned (GraphX cannot skip
     // inactive triplets without a full pass). The scan runs host-parallel
-    // over edge slices; per-slot outputs concatenated in slot order
-    // reproduce the serial emission sequence exactly.
-    messages.clear();
+    // over edge slices; draining the per-slot outputs in slot order
+    // replays the serial emission sequence exactly.
     std::span<const Edge> edges = graph.edges();
     emitted.Reset(exec::ExecContext::NumSlots(
         static_cast<std::int64_t>(edges.size())));
@@ -224,30 +216,30 @@ Status RunGraphxPregel(JobContext& ctx, const Graph& graph,
             }
           }
         });
-    emitted.MergeInto(&messages);
+    const std::size_t rows = emitted.TotalSize();
     runtime.ChargeRows(graph.edges().size() * 2, row_op_factor);
-    runtime.Shuffle(&messages, row_bytes);
+    runtime.ChargeShuffle(rows, row_bytes);
 
     // Reduce by key + join: produces a brand-new vertex table. The
     // retained shuffle buffers hold the post-combine rows (one per
     // distinct destination; GraphX's aggregateMessages combines
     // map-side), not the raw message multiset.
+    has_mail.assign(state->size(), 0);
+    emitted.Drain([&](const MessageRow& row) {
+      double& slot = inbox[row.dst];
+      slot = has_mail[row.dst] ? merge(slot, row.value) : row.value;
+      has_mail[row.dst] = 1;
+    });
     next_active.assign(state->size(), 0);
     std::size_t groups = 0;
-    std::size_t i = 0;
-    while (i < messages.size()) {
-      const VertexIndex v = messages[i].dst;
-      double combined = messages[i].value;
-      std::size_t j = i + 1;
-      while (j < messages.size() && messages[j].dst == v) {
-        combined = merge(combined, messages[j].value);
-        ++j;
-      }
-      if (apply(v, &(*state)[v], combined)) next_active[v] = 1;
+    for (std::size_t v = 0; v < state->size(); ++v) {
+      if (!has_mail[v]) continue;
       ++groups;
-      i = j;
+      if (apply(static_cast<VertexIndex>(v), &(*state)[v], inbox[v])) {
+        next_active[v] = 1;
+      }
     }
-    runtime.ChargeRows(messages.size() + state->size());
+    runtime.ChargeRows(rows + state->size());
     GA_RETURN_IF_ERROR(runtime.ChargeIterationBuffers(
         groups + state->size(), row_bytes));
     active->swap(next_active);
@@ -352,6 +344,43 @@ Result<AlgorithmOutput> RunWcc(JobContext& ctx, const Graph& graph) {
   return output;
 }
 
+// PageRank's shuffle order, sorted once per job. Every edge sends on every
+// superstep, so each superstep emits the same destination sequence, and
+// std::sort's output permutation depends only on the outcomes of its key
+// comparisons: the rows of every superstep reach their destination in the
+// order this one sort fixes. `sources` holds each row's sending vertex in
+// that order; destination v's rows sit at [offsets[v], offsets[v + 1]).
+struct ShuffleOrder {
+  std::vector<EdgeIndex> offsets;
+  std::vector<VertexIndex> sources;
+};
+
+ShuffleOrder SortShuffleOnce(const Graph& graph) {
+  struct Route {
+    VertexIndex dst;
+    VertexIndex src;
+  };
+  std::vector<Route> routes;
+  routes.reserve(graph.edges().size() * (graph.is_directed() ? 1 : 2));
+  for (const Edge& edge : graph.edges()) {
+    routes.push_back({edge.target, edge.source});
+    if (!graph.is_directed()) routes.push_back({edge.source, edge.target});
+  }
+  std::sort(routes.begin(), routes.end(),
+            [](const Route& a, const Route& b) { return a.dst < b.dst; });
+  ShuffleOrder order;
+  order.offsets.assign(static_cast<std::size_t>(graph.num_vertices()) + 1, 0);
+  order.sources.resize(routes.size());
+  for (std::size_t k = 0; k < routes.size(); ++k) {
+    ++order.offsets[static_cast<std::size_t>(routes[k].dst) + 1];
+    order.sources[k] = routes[k].src;
+  }
+  for (std::size_t v = 1; v < order.offsets.size(); ++v) {
+    order.offsets[v] += order.offsets[v - 1];
+  }
+  return order;
+}
+
 Result<AlgorithmOutput> RunPageRank(JobContext& ctx, const Graph& graph,
                                     int iterations, double damping) {
   DataflowRuntime runtime(ctx, graph);
@@ -361,60 +390,54 @@ Result<AlgorithmOutput> RunPageRank(JobContext& ctx, const Graph& graph,
   output.double_values.assign(n, n > 0 ? 1.0 / static_cast<double>(n) : 0.0);
   if (n == 0) return output;
   std::vector<double>& rank = output.double_values;
-  std::vector<MessageRow> messages;
-  exec::SlotBuffers<MessageRow> emitted;
-  std::vector<double> next;
+  const std::uint64_t rows =
+      graph.edges().size() * (graph.is_directed() ? 1 : 2);
+  ShuffleOrder order;
+  std::vector<double> contrib(n);
+  std::vector<double> next(n);
   std::vector<double> dangling_scratch;
 
   for (int iteration = 0; iteration < iterations; ++iteration) {
-    messages.clear();
+    // One pass over the vertices sums the dangling mass and computes each
+    // sender's per-row message value, rank / out-degree.
     const double dangling = exec::parallel_reduce(
         ctx.exec(), 0, n, 0.0,
         [&](const exec::Slice& slice, double& acc) {
           for (VertexIndex v = slice.begin; v < slice.end; ++v) {
-            if (graph.OutDegree(v) == 0) acc += rank[v];
+            const EdgeIndex degree = graph.OutDegree(v);
+            if (degree == 0) {
+              acc += rank[v];
+            } else {
+              contrib[v] = rank[v] / static_cast<double>(degree);
+            }
           }
         },
         [](double& into, double from) { into += from; },
         &dangling_scratch);
-    std::span<const Edge> edges = graph.edges();
-    emitted.Reset(exec::ExecContext::NumSlots(
-        static_cast<std::int64_t>(edges.size())));
-    exec::parallel_for(
-        ctx.exec(), 0, static_cast<std::int64_t>(edges.size()),
-        [&](const exec::Slice& slice) {
-          std::vector<MessageRow>& out = emitted.buf(slice.slot);
-          for (std::int64_t e = slice.begin; e < slice.end; ++e) {
-            const Edge& edge = edges[e];
-            out.push_back(
-                {edge.target,
-                 rank[edge.source] /
-                     static_cast<double>(graph.OutDegree(edge.source))});
-            if (!graph.is_directed()) {
-              out.push_back(
-                  {edge.source,
-                   rank[edge.target] /
-                       static_cast<double>(graph.OutDegree(edge.target))});
-            }
-          }
-        });
-    emitted.MergeInto(&messages);
     runtime.ChargeRows(graph.edges().size() * 2);
     // PageRank scatters along every edge, and GraphX materialises the
     // rank-joined triplet messages *before* the reduce can shrink them —
     // the per-iteration buffer holds the raw message multiset. This is
     // why PR needs 4 machines on D1000 where BFS needs only 2 (§4.4).
     GA_RETURN_IF_ERROR(runtime.ChargeIterationBuffers(
-        messages.size() + static_cast<std::uint64_t>(n), kRowBytes));
-    runtime.Shuffle(&messages);
+        rows + static_cast<std::uint64_t>(n), kRowBytes));
+    if (iteration == 0) order = SortShuffleOnce(graph);
+    runtime.ChargeShuffle(rows, kRowBytes);
 
+    // Each destination sums its rows in the shuffle's order, so the
+    // result is the same at any host thread count.
     const double base = (1.0 - damping) / static_cast<double>(n) +
                         damping * dangling / static_cast<double>(n);
-    next.assign(n, base);
-    for (const MessageRow& row : messages) {
-      next[row.dst] += damping * row.value;
-    }
-    runtime.ChargeRows(messages.size() + n);
+    exec::parallel_for(ctx.exec(), 0, n, [&](const exec::Slice& slice) {
+      for (VertexIndex v = slice.begin; v < slice.end; ++v) {
+        double sum = base;
+        for (EdgeIndex k = order.offsets[v]; k < order.offsets[v + 1]; ++k) {
+          sum += damping * contrib[order.sources[k]];
+        }
+        next[v] = sum;
+      }
+    });
+    runtime.ChargeRows(rows + n);
     if (ctx.tracer().enabled()) {
       // Traced-only convergence probe: L1 delta between successive
       // rank vectors, observed before the swap installs the update.

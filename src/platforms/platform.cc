@@ -22,8 +22,8 @@ JobContext::JobContext(const sysmodel::ClusterModel& cluster,
     : cluster_(cluster),
       memory_(memory),
       profile_(profile),
-      processing_op_(processing_op),
       env_(env),
+      processing_op_(processing_op),
       exec_(env.host_pool),
       worker_ops_(cluster.num_workers(), 0),
       machine_comm_(cluster.num_machines()) {
@@ -232,13 +232,6 @@ TraceCounters JobContext::TraceTotals() const {
   trace.steal_count =
       env_.host_pool ? env_.host_pool->TotalSteals() - steal_base_ : 0;
   return trace;
-}
-
-void JobContext::ChargeSequential(std::uint64_t ops,
-                                  const std::string& label) {
-  (void)label;
-  ledger_.compute_ops += ops;
-  sim_seconds_ += cluster_.SequentialSeconds(ops);
 }
 
 Status JobContext::ChargeMemory(int machine, std::int64_t bytes,

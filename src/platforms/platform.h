@@ -310,12 +310,6 @@ class JobContext {
     return checkpoint_plan_.writes_enabled();
   }
 
-  /// Charges sequential (single-threaded) work, e.g. result assembly.
-  void ChargeSequential(std::uint64_t ops, const std::string& label);
-
-  /// Adds fixed simulated seconds (engine-specific overheads).
-  void AddSimSeconds(double seconds) { sim_seconds_ += seconds; }
-
   /// Charges scratch memory on one machine; fails with kOutOfMemory when
   /// the machine budget is exceeded (the job then crashes).
   Status ChargeMemory(int machine, std::int64_t bytes,

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 namespace ga::telemetry {
 
@@ -129,9 +130,13 @@ class Histogram {
     return static_cast<std::int64_t>(kSub + sub) << shift;
   }
 
-  /// Exclusive upper bound of a bucket's value range.
+  /// Exclusive upper bound of a bucket's value range. The top bucket's
+  /// bound, 2^63, does not fit in int64 and saturates at INT64_MAX.
   static std::int64_t BucketUpperBound(int bucket) {
     if (bucket < kSub) return bucket + 1;
+    if (bucket == kNumBuckets - 1) {
+      return std::numeric_limits<std::int64_t>::max();
+    }
     const int shift = (bucket - kSub) / kSub;
     return BucketLowerBound(bucket) + (std::int64_t{1} << shift);
   }

@@ -176,7 +176,9 @@ TEST_P(AlgorithmPropertyTest, LccBounded) {
     const EdgeIndex degree = graph.OutDegree(v) + (graph.is_directed()
                                                        ? graph.InDegree(v)
                                                        : 0);
-    if (degree < 2) EXPECT_DOUBLE_EQ(lcc->double_values[v], 0.0);
+    if (degree < 2) {
+      EXPECT_DOUBLE_EQ(lcc->double_values[v], 0.0);
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Steady-state allocation audit for the flat data-path overhaul
 // (DESIGN.md §8): once the first supersteps have warmed every arena,
 // pool and slot buffer to its high-water capacity, additional supersteps
-// of bsplite PageRank and of every engine's CDLP must perform ZERO heap
-// allocations.
+// of bsplite and dataflow PageRank and of every engine's CDLP must
+// perform ZERO heap allocations.
 //
 // Verified with a counting global operator new: the same kernel is run
 // through Platform::ExecuteKernel (no Granula tree, no memory accountant
@@ -124,6 +124,10 @@ TEST(SteadyStateAllocTest, BspLitePageRank) {
 
 TEST(SteadyStateAllocTest, BspLiteCdlp) {
   ExpectZeroSteadyStateAllocations("bsplite", Algorithm::kCdlp);
+}
+
+TEST(SteadyStateAllocTest, DataflowPageRank) {
+  ExpectZeroSteadyStateAllocations("dataflow", Algorithm::kPageRank);
 }
 
 TEST(SteadyStateAllocTest, DataflowCdlp) {

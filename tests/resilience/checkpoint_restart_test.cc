@@ -102,17 +102,17 @@ TEST(CheckpointRestartTest, RestartMatrixIsByteIdentical) {
       {1, &pool1}, {2, &pool2}, {8, &pool8}};
 
   int cells = 0;
-  for (const std::string& dataset : {"R1", "G22"}) {
+  for (const char* dataset : {"R1", "G22"}) {
     auto graph = registry.Load(dataset);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     auto params = registry.ParamsFor(dataset);
     ASSERT_TRUE(params.ok()) << params.status().ToString();
 
-    for (const std::string& platform_id : {"spmat", "bsplite"}) {
+    for (const char* platform_id : {"spmat", "bsplite"}) {
       for (Algorithm algorithm :
            {Algorithm::kBfs, Algorithm::kPageRank, Algorithm::kWcc}) {
-        const std::string cell = platform_id + "/" + dataset + "/" +
-                                 std::string(AlgorithmName(algorithm));
+        const std::string cell = std::string(platform_id) + "/" + dataset +
+                                 "/" + std::string(AlgorithmName(algorithm));
 
         // The oracle: one uninterrupted, checkpoint-free run.
         auto clean = RunOnce(platform_id, **graph, algorithm, *params,

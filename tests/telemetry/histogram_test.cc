@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -50,6 +51,25 @@ TEST(HistogramTest, RelativeBucketWidthIsBounded) {
         static_cast<double>(Histogram::BucketUpperBound(b)) - lower;
     EXPECT_LE(width / lower, 0.25 + 1e-12) << "bucket " << b;
   }
+}
+
+TEST(HistogramTest, TopBucketBoundSaturatesAtInt64Max) {
+  // The top bucket holds [7 * 2^60, INT64_MAX]. Its exclusive bound, 2^63,
+  // is not an int64 value, so it saturates instead of overflowing.
+  constexpr int kTop = Histogram::kNumBuckets - 1;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Histogram::BucketOf(kMax), kTop);
+  EXPECT_EQ(Histogram::BucketOf(std::int64_t{7} << 60), kTop);
+  EXPECT_EQ(Histogram::BucketLowerBound(kTop), std::int64_t{7} << 60);
+  EXPECT_EQ(Histogram::BucketUpperBound(kTop), kMax);
+  EXPECT_EQ(Histogram::BucketUpperBound(kTop - 1),
+            Histogram::BucketLowerBound(kTop));
+  // A sample there interpolates to a quantile inside the bucket.
+  Histogram histogram;
+  histogram.Record(std::int64_t{7} << 60);
+  const double quantile = histogram.Take().Quantile(0.5);
+  EXPECT_GE(quantile, static_cast<double>(Histogram::BucketLowerBound(kTop)));
+  EXPECT_LE(quantile, static_cast<double>(kMax));
 }
 
 TEST(HistogramTest, CountAndSumAreExact) {
