@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -82,7 +83,10 @@ LineParse ParseEdgeLine(std::string_view line, bool weighted,
     return LineParse::kMalformed;
   }
   *weight = 1.0;
-  if (weighted && !ParseToken(line, &pos, weight)) {
+  // from_chars also reads "nan" and "inf"; a weight must be a finite
+  // number, or SSSP over it is undefined.
+  if (weighted &&
+      (!ParseToken(line, &pos, weight) || !std::isfinite(*weight))) {
     return LineParse::kMalformed;
   }
   if (!OnlyTrailingWhitespace(line, pos)) return LineParse::kMalformed;

@@ -25,6 +25,7 @@
 #include "core/exec/cancel.h"
 #include "core/exec/counter_sheet.h"
 #include "core/exec/thread_pool.h"
+#include "faults/faults.h"
 
 namespace ga::exec {
 
@@ -77,6 +78,15 @@ class ExecContext {
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
   const CancelToken* cancel_token() const { return cancel_; }
 
+  /// Attaches the job's fault injector (nullptr — the default — detaches).
+  /// With one attached, every parallel_for/parallel_reduce dispatch calls
+  /// OnParallelLoop once on the submitting thread before any chunk, and
+  /// every chunk calls OnParallelChunk after its cancel check and before
+  /// its body, which may throw an injected abort. The inline path makes
+  /// the same calls, so a plan fails the same chunk at any thread count.
+  void set_faults(faults::FaultInjector* injector) { faults_ = injector; }
+  faults::FaultInjector* faults() const { return faults_; }
+
   /// Slot count for a range of `size` items — a function of the size
   /// (and an optional per-call-site cap) alone, never of the thread
   /// count, which is what makes the decomposition deterministic. Loops
@@ -105,6 +115,7 @@ class ExecContext {
   ThreadPool* pool_ = nullptr;
   CounterSheet* counters_ = nullptr;
   const CancelToken* cancel_ = nullptr;
+  faults::FaultInjector* faults_ = nullptr;
 };
 
 static_assert(CounterSheet::kMaxSlots >= ExecContext::kMaxSlots,
@@ -121,13 +132,8 @@ void parallel_for(ExecContext& ctx, std::int64_t begin, std::int64_t end,
   if (num_slots == 0) return;
   CounterSheet* const sheet = ctx.counters();
   if (sheet != nullptr) sheet->NoteLoop();
-  // Fault-injection hooks (null unless a ga::faults plan is installed).
-  // The loop hook counts dispatches on the submitting thread; the chunk
-  // hook may throw an injected fault inside a worker chunk. Both fire on
-  // the inline and pooled paths alike, so an armed plan reproduces the
-  // same failure sequence at any host thread count.
-  if (ParallelLoopHook loop_hook = GetParallelLoopHook()) loop_hook();
-  const ParallelChunkHook chunk_hook = GetParallelChunkHook();
+  faults::FaultInjector* const faults = ctx.faults();
+  if (faults != nullptr) faults->OnParallelLoop();
   const CancelToken* const cancel = ctx.cancel_token();
   // The timed and untimed paths run the identical slot sequence; timing
   // wraps the body without touching the decomposition.
@@ -135,7 +141,7 @@ void parallel_for(ExecContext& ctx, std::int64_t begin, std::int64_t end,
     if (cancel != nullptr && cancel->stop_requested()) {
       throw StatusException(cancel->status());
     }
-    if (chunk_hook != nullptr) chunk_hook(slot);
+    if (faults != nullptr) faults->OnParallelChunk(slot);
     if (sheet != nullptr) {
       const std::int64_t chunk_begin = sheet->NowTicks();
       body(ExecContext::SliceOf(begin, end, slot, num_slots));

@@ -6,25 +6,6 @@
 
 namespace ga::exec {
 
-namespace {
-std::atomic<ParallelLoopHook> g_loop_hook{nullptr};
-std::atomic<ParallelChunkHook> g_chunk_hook{nullptr};
-}  // namespace
-
-void SetParallelFaultHooks(ParallelLoopHook loop_hook,
-                           ParallelChunkHook chunk_hook) {
-  g_loop_hook.store(loop_hook, std::memory_order_relaxed);
-  g_chunk_hook.store(chunk_hook, std::memory_order_relaxed);
-}
-
-ParallelLoopHook GetParallelLoopHook() {
-  return g_loop_hook.load(std::memory_order_relaxed);
-}
-
-ParallelChunkHook GetParallelChunkHook() {
-  return g_chunk_hook.load(std::memory_order_relaxed);
-}
-
 int ThreadPool::HardwareConcurrency() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

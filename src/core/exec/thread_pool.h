@@ -29,22 +29,6 @@
 
 namespace ga::exec {
 
-/// Process-wide fault/test hooks for the exec-layer parallel constructs
-/// (ga::faults installs them; null — the default — costs one relaxed
-/// atomic load per call site). The loop hook runs once per parallel_for/
-/// parallel_reduce dispatch, on the submitting thread, BEFORE any chunk;
-/// the chunk hook runs before each chunk body, on whichever thread claimed
-/// it, and may throw (the pool propagates the exception to the submitting
-/// thread — see ThreadPool::Execute). Both fire on the inline (no-pool)
-/// path too, so an installed fault plan reproduces the same failure
-/// sequence at any --jobs value.
-using ParallelLoopHook = void (*)();
-using ParallelChunkHook = void (*)(int slot);
-void SetParallelFaultHooks(ParallelLoopHook loop_hook,
-                           ParallelChunkHook chunk_hook);
-ParallelLoopHook GetParallelLoopHook();
-ParallelChunkHook GetParallelChunkHook();
-
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` total participants (including the

@@ -6,26 +6,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/exec/thread_pool.h"
 #include "core/rng.h"
 
 namespace ga::faults {
 
 namespace {
-
-std::atomic<FaultInjector*> g_injector{nullptr};
-
-void LoopHookThunk() {
-  if (FaultInjector* injector = g_injector.load(std::memory_order_relaxed)) {
-    injector->OnParallelLoop();
-  }
-}
-
-void ChunkHookThunk(int slot) {
-  if (FaultInjector* injector = g_injector.load(std::memory_order_relaxed)) {
-    injector->OnParallelChunk(slot);
-  }
-}
 
 Result<std::int64_t> ParseInt(const std::string& key,
                               const std::string& value) {
@@ -176,29 +161,6 @@ Status FaultInjector::OnStoreRead(const std::string& path) {
     return Status::IoError("injected corruption reading " + path);
   }
   return Status::Ok();
-}
-
-FaultInjector* GlobalInjector() {
-  return g_injector.load(std::memory_order_relaxed);
-}
-
-ScopedGlobalInjector::ScopedGlobalInjector(FaultInjector* injector)
-    : previous_(g_injector.load(std::memory_order_relaxed)) {
-  g_injector.store(injector, std::memory_order_relaxed);
-  if (injector != nullptr) {
-    exec::SetParallelFaultHooks(&LoopHookThunk, &ChunkHookThunk);
-  } else {
-    exec::SetParallelFaultHooks(nullptr, nullptr);
-  }
-}
-
-ScopedGlobalInjector::~ScopedGlobalInjector() {
-  g_injector.store(previous_, std::memory_order_relaxed);
-  if (previous_ != nullptr) {
-    exec::SetParallelFaultHooks(&LoopHookThunk, &ChunkHookThunk);
-  } else {
-    exec::SetParallelFaultHooks(nullptr, nullptr);
-  }
 }
 
 }  // namespace ga::faults

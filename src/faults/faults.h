@@ -19,13 +19,14 @@
 //                           (exercises ThreadPool exception propagation)
 //   stall_at_loop=N         one chunk of the Nth parallel dispatch sleeps
 //                           stall_ms (wall-clock only; outputs unchanged)
-//   corrupt_read=1          every store checkpoint/snapshot read reports
-//                           a checksum mismatch (kIoError)
+//   corrupt_read=1          every checkpoint read reports a checksum
+//                           mismatch (kIoError)
 //
-// The exec and store layers cannot see a JobContext, so an injector is
-// installed process-globally for the duration of one job
-// (ScopedGlobalInjector); the harness serialises jobs, so there is no
-// cross-job aliasing.
+// An injector rides one job, like its cancel token: the caller sets
+// platform::ExecutionEnvironment::faults, the JobContext consults it at
+// superstep ends, memory charges and checkpoint reads, and hands it to
+// the job's exec::ExecContext for the parallel-loop points. Nothing else
+// sees it, so jobs that run side by side never share a fault.
 #ifndef GRAPHALYTICS_FAULTS_FAULTS_H_
 #define GRAPHALYTICS_FAULTS_FAULTS_H_
 
@@ -63,10 +64,10 @@ struct FaultPlan {
   std::string ToString() const;
 };
 
-/// Fires a plan's faults at the injection points threaded through
-/// exec/store/platform. Counter state is cumulative over the injector's
-/// lifetime: a hardened-runner retry that reuses the injector does NOT
-/// re-fire one-shot ordinal faults (abort_at_loop), which is exactly the
+/// Fires a plan's faults at the injection points of the job it rides.
+/// Counter state is cumulative over the injector's lifetime: a
+/// hardened-runner retry that reuses the injector does NOT re-fire
+/// one-shot ordinal faults (abort_at_loop), which is exactly the
 /// transient-failure shape bounded retry exists for. Superstep-keyed
 /// faults (crash/kill) re-fire every attempt: they model deterministic
 /// failures that retry cannot fix.
@@ -92,8 +93,8 @@ class FaultInjector {
   /// targeted (dispatch, chunk); sleeps for stall plans.
   void OnParallelChunk(int slot);
 
-  /// Before serving bytes from a store read path (checkpoints). kIoError
-  /// when the plan corrupts reads.
+  /// Before a checkpoint read (JobContext::MaybeRestore). kIoError when
+  /// the plan corrupts reads.
   Status OnStoreRead(const std::string& path);
 
   /// Deterministic ordinal counters, exposed so tests can assert that a
@@ -113,26 +114,6 @@ class FaultInjector {
   std::atomic<bool> stall_armed_{false};
   int abort_slot_ = 0;
   int stall_slot_ = 0;
-};
-
-/// The injector the exec/store hooks consult (null when no plan is
-/// armed). Install with ScopedGlobalInjector; never set concurrently
-/// with a running job.
-FaultInjector* GlobalInjector();
-
-/// RAII installation of `injector` as the process-global injector plus
-/// the exec-layer hooks; restores the previous state on destruction.
-/// Pass null to run a scope with injection explicitly disabled.
-class ScopedGlobalInjector {
- public:
-  explicit ScopedGlobalInjector(FaultInjector* injector);
-  ~ScopedGlobalInjector();
-
-  ScopedGlobalInjector(const ScopedGlobalInjector&) = delete;
-  ScopedGlobalInjector& operator=(const ScopedGlobalInjector&) = delete;
-
- private:
-  FaultInjector* previous_;
 };
 
 }  // namespace ga::faults

@@ -147,6 +147,7 @@ Result<JobReport> BenchmarkRunner::Run(const JobSpec& spec,
                                  ? spec.wall_timeout_seconds
                                  : config_.job_timeout_seconds;
   env.cancel = spec.cancel;
+  env.faults = injector;
   if (!config_.checkpoint_dir.empty()) {
     // A missing directory must not quarantine every cell with an io
     // error; the runner owns the directory the same way it owns the
@@ -167,12 +168,7 @@ Result<JobReport> BenchmarkRunner::Run(const JobSpec& spec,
   JobReport report;
   report.spec = spec;
 
-  // The injector scope covers the platform execution ONLY: loading,
-  // validation and the reference implementation run clean.
-  auto run = [&] {
-    faults::ScopedGlobalInjector scoped(injector);
-    return platform->RunJob(*graph, spec.algorithm, params, env);
-  }();
+  auto run = platform->RunJob(*graph, spec.algorithm, params, env);
   if (!run.ok()) {
     report.failure = run.status().ToString();
     report.failure_code = run.status().code();

@@ -120,9 +120,8 @@ class BenchmarkRunner {
   /// SLA breach, unsupported workload) come back as a JobReport with the
   /// corresponding outcome, as the paper's harness records them.
   ///
-  /// `injector` (optional) is installed as the process-global fault
-  /// injector for the platform execution only — dataset loading,
-  /// validation and the reference run are never fault-injected.
+  /// `injector` (optional) rides the platform job only — dataset
+  /// loading, validation and the reference run are never fault-injected.
   Result<JobReport> Run(const JobSpec& spec,
                         faults::FaultInjector* injector = nullptr);
 
@@ -136,10 +135,10 @@ class BenchmarkRunner {
   /// failure_cause "infrastructure".
   JobReport RunWithPolicy(const JobSpec& spec);
 
-  /// The injector RunWithPolicy installs, parsed lazily from
+  /// The injector RunWithPolicy passes to every job, parsed lazily from
   /// config.fault_spec (null when the spec is empty or invalid). Shared
   /// across a suite's jobs and retries, so one-shot ordinal faults
-  /// (abort_at_loop) fire exactly once process-wide while superstep-keyed
+  /// (abort_at_loop) fire exactly once per runner while superstep-keyed
   /// faults re-fire every attempt — see faults::FaultInjector.
   faults::FaultInjector* fault_injector();
 

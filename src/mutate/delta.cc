@@ -1,6 +1,8 @@
 #include "mutate/delta.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -232,7 +234,19 @@ Result<DeltaBatch> ParseDeltaText(std::string_view text) {
       if (!(fields >> op.source >> op.target)) {
         return bad("insert needs <source> <target> [weight]");
       }
-      fields >> op.weight;  // optional; stays 1.0 when absent
+      // Optional; stays 1.0 when absent. Parsed as one whole token, so
+      // "abc" or "2.5xyz" is an error, not a weight of 0 or 2.5.
+      std::string weight;
+      if (fields >> weight) {
+        double value = 0.0;
+        const char* end = weight.data() + weight.size();
+        const auto parsed = std::from_chars(weight.data(), end, value);
+        if (parsed.ec != std::errc() || parsed.ptr != end ||
+            !std::isfinite(value)) {
+          return bad("weight must be a finite number");
+        }
+        op.weight = value;
+      }
     } else if (tag == "-") {
       op.op = DeltaOp::kDeleteEdge;
       if (!(fields >> op.source >> op.target)) {
@@ -244,6 +258,8 @@ Result<DeltaBatch> ParseDeltaText(std::string_view text) {
     } else {
       return bad("unknown tag \"" + tag + "\" (expected +, - or v)");
     }
+    std::string extra;
+    if (fields >> extra) return bad("unexpected trailing field");
     batch.ops.push_back(op);
   }
   return batch;

@@ -7,7 +7,6 @@
 #include "core/exec/alloc_stats.h"
 #include "core/partition.h"
 #include "core/timer.h"
-#include "faults/faults.h"
 
 namespace ga::platform {
 
@@ -28,6 +27,7 @@ JobContext::JobContext(const sysmodel::ClusterModel& cluster,
       worker_ops_(cluster.num_workers(), 0),
       machine_comm_(cluster.num_machines()) {
   exec_.set_cancel_token(env_.cancel);
+  exec_.set_faults(env_.faults);
   if (env_.trace_enabled) {
     tracer_.Enable();
     sheet_.Enable();
@@ -120,8 +120,8 @@ Status JobContext::EndSuperstep(const std::string& label) {
   // Resilience boundary: injected machine crashes land here (the end of
   // superstep `supersteps_`, 1-based), as does the wall-clock budget
   // check — both keyed by deterministic state, never host timing.
-  if (faults::FaultInjector* injector = faults::GlobalInjector()) {
-    GA_RETURN_IF_ERROR(injector->OnSuperstep(supersteps_));
+  if (env_.faults != nullptr) {
+    GA_RETURN_IF_ERROR(env_.faults->OnSuperstep(supersteps_));
   }
   if (env_.wall_timeout_seconds > 0.0 &&
       wall_.ElapsedSeconds() > env_.wall_timeout_seconds) {
@@ -154,6 +154,9 @@ Result<const resilience::StateReader*> JobContext::MaybeRestore() {
   if (!checkpoint_plan_.resume_enabled() ||
       !resilience::CheckpointExists(checkpoint_plan_.path)) {
     return static_cast<const resilience::StateReader*>(nullptr);
+  }
+  if (env_.faults != nullptr) {
+    GA_RETURN_IF_ERROR(env_.faults->OnStoreRead(checkpoint_plan_.path));
   }
   GA_ASSIGN_OR_RETURN(
       resilience::StateReader reader,
@@ -238,8 +241,8 @@ Status JobContext::ChargeMemory(int machine, std::int64_t bytes,
                                 const std::string& what) {
   // Injected allocation failures are keyed by the charge ordinal, which
   // is a deterministic property of the engine's charge sequence.
-  if (faults::FaultInjector* injector = faults::GlobalInjector()) {
-    GA_RETURN_IF_ERROR(injector->OnMemoryCharge());
+  if (env_.faults != nullptr) {
+    GA_RETURN_IF_ERROR(env_.faults->OnMemoryCharge());
   }
   if (memory_ == nullptr) return Status::Ok();
   return memory_->Charge(machine, bytes, what);

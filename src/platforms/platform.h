@@ -31,6 +31,7 @@
 #include "core/timer.h"
 #include "core/types.h"
 #include "core/work_ledger.h"
+#include "faults/faults.h"
 #include "granula/archive.h"
 #include "granula/model.h"
 #include "granula/tracer.h"
@@ -146,6 +147,12 @@ struct ExecutionEnvironment {
   /// status) and no later than the next superstep boundary; the job
   /// fails with kCancelled or kDeadlineExceeded (DESIGN.md §14).
   const exec::CancelToken* cancel = nullptr;
+  /// Fault injector for this job (not owned; must outlive the job). Null
+  /// — the default — injects nothing. Only this job's supersteps, memory
+  /// charges, checkpoint reads and parallel loops consult it, so a
+  /// faulted job never leaks a fault into one running beside it
+  /// (DESIGN.md §13).
+  faults::FaultInjector* faults = nullptr;
 };
 
 /// Deep-tracing summary of one job, filled only when tracing was enabled.
@@ -270,7 +277,7 @@ class JobContext {
   /// machine_comm() to the simulated clock (plus the profile's per-
   /// superstep overhead) and records a Granula child operation.
   ///
-  /// This is also the job's resilience boundary: an armed fault injector
+  /// This is also the job's resilience boundary: the job's fault injector
   /// may fail the superstep (kAborted machine crash, or a real SIGKILL
   /// for the crash/restart harness), and a job past its wall-clock
   /// budget fails with kDeadlineExceeded. Engines must propagate the
@@ -292,7 +299,8 @@ class JobContext {
   /// reader positioned on the same checkpoint for the ENGINE to restore
   /// its vertex values / frontier / mail / loop counters from. Engines
   /// call this once, after building their structures, before the
-  /// superstep loop.
+  /// superstep loop. A corrupt_read fault plan fails the read with
+  /// kIoError.
   Result<const resilience::StateReader*> MaybeRestore();
 
   /// At a superstep boundary (after EndSuperstep + Advance): writes a

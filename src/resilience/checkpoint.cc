@@ -5,7 +5,6 @@
 #include <cstring>
 #include <sys/stat.h>
 
-#include "faults/faults.h"
 #include "store/snapshot.h"
 
 namespace ga::resilience {
@@ -117,9 +116,6 @@ Result<StateReader> StateReader::Open(const std::string& path,
                                       std::uint64_t job_key) {
   if (!CheckpointExists(path)) {
     return Status::NotFound("no checkpoint at " + path);
-  }
-  if (faults::FaultInjector* injector = faults::GlobalInjector()) {
-    GA_RETURN_IF_ERROR(injector->OnStoreRead(path));
   }
   GA_ASSIGN_OR_RETURN(store::MappedFile file, store::MappedFile::Open(path));
   if (file.size() < sizeof(CheckpointHeader)) {

@@ -134,8 +134,7 @@ class StateWriter {
 class StateReader {
  public:
   /// kNotFound when the file does not exist; kFailedPrecondition on a
-  /// job-key mismatch; kIoError on corruption (or an injected
-  /// corrupt_read fault).
+  /// job-key mismatch; kIoError on corruption.
   static Result<StateReader> Open(const std::string& path,
                                   std::uint64_t job_key);
 

@@ -1,9 +1,35 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+
 #include "core/json_reader.h"
 #include "core/json_writer.h"
 
 namespace ga::serve {
+
+namespace {
+
+// Reads an optional integer field in [lo, hi] into `*out`, which keeps its
+// default when the field is absent. Anything else — a non-number, a
+// fraction, a value out of range — is rejected before the int conversion,
+// which is undefined for doubles past the int range.
+Status ReadBoundedInt(const json::Value& doc, const char* key, int lo,
+                      int hi, int* out) {
+  const json::Value* value = doc.Find(key);
+  if (value == nullptr) return Status::Ok();
+  const double number = value->is_number() ? value->number() : 0.0;
+  const bool in_range = value->is_number() && number >= lo &&
+                        number <= hi && number == std::floor(number);
+  if (!in_range) {
+    return Status::InvalidArgument(
+        "\"" + std::string(key) + "\" must be an integer in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  *out = static_cast<int>(number);
+  return Status::Ok();
+}
+
+}  // namespace
 
 Result<Request> ParseRequest(const std::string& line) {
   GA_ASSIGN_OR_RETURN(json::Value doc, json::Parse(line));
@@ -40,20 +66,18 @@ Result<Request> ParseRequest(const std::string& line) {
                                    "\"");
   }
   request.platform = doc.GetString("platform", request.platform);
-  request.priority = static_cast<int>(doc.GetNumber("priority", 0.0));
+  GA_RETURN_IF_ERROR(
+      ReadBoundedInt(doc, "priority", 0, kMaxPriority, &request.priority));
   request.deadline_ms = doc.GetNumber("deadline_ms", 0.0);
   if (request.deadline_ms < 0.0) {
     return Status::InvalidArgument("deadline_ms must be >= 0");
   }
   request.validate = doc.GetBool("validate", false);
   request.faults = doc.GetString("faults");
-  request.num_machines =
-      static_cast<int>(doc.GetNumber("machines", request.num_machines));
-  request.threads_per_machine = static_cast<int>(
-      doc.GetNumber("threads", request.threads_per_machine));
-  if (request.num_machines < 1 || request.threads_per_machine < 1) {
-    return Status::InvalidArgument("machines/threads must be >= 1");
-  }
+  GA_RETURN_IF_ERROR(
+      ReadBoundedInt(doc, "machines", 1, kMaxMachines, &request.num_machines));
+  GA_RETURN_IF_ERROR(ReadBoundedInt(doc, "threads", 1, kMaxThreads,
+                                    &request.threads_per_machine));
   return request;
 }
 

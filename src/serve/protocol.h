@@ -17,6 +17,7 @@
 #ifndef GRAPHALYTICS_SERVE_PROTOCOL_H_
 #define GRAPHALYTICS_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -34,7 +35,8 @@ struct Request {
   Algorithm algorithm = Algorithm::kBfs;
   std::string dataset;
   std::string platform = "bsplite";
-  /// Admission priority: higher displaces lower when the queue is full.
+  /// Admission priority in [0, kMaxPriority]: higher displaces lower
+  /// when the queue is full.
   int priority = 0;
   /// Wall-clock deadline for the whole request (queue wait + execution),
   /// in milliseconds; 0 inherits the server default (which may be
@@ -43,15 +45,29 @@ struct Request {
   /// Validate the output against the reference implementation.
   bool validate = false;
   /// Fault-injection plan for this request (faults::FaultPlan::Parse
-  /// syntax). Faulted requests run exclusively — see server.h.
+  /// syntax). It rides this request's job only, so faulted and clean
+  /// requests run side by side; kill_at_superstep is refused.
   std::string faults;
+  /// Simulated deployment, in [1, kMaxMachines] x [1, kMaxThreads].
   int num_machines = 1;
   int threads_per_machine = 32;
 };
 
+/// Bounds of the request's integer fields. Priority is also a telemetry
+/// label, so its range bounds that label set; machines and threads stop
+/// at the paper preset's largest deployment.
+inline constexpr int kMaxPriority = 9;
+inline constexpr int kMaxMachines = 16;
+inline constexpr int kMaxThreads = 32;
+
+/// Longest request line, newline excluded. A connection that sends a
+/// longer one gets an error response and is closed.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 /// Parses one request line. kInvalidArgument (with the reason) on
-/// malformed JSON, unknown op, unknown algorithm, or a missing id/dataset
-/// for ops that need one.
+/// malformed JSON, unknown op, unknown algorithm, a missing id/dataset
+/// for ops that need one, or an integer field that is not an integer in
+/// its range.
 Result<Request> ParseRequest(const std::string& line);
 
 struct Response {

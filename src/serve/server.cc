@@ -538,12 +538,20 @@ Response Server::RunRequest(const Request& request,
     return ErrorResponse(request.id, platform.status());
   }
   // Parse the fault plan BEFORE acquiring residency: a malformed plan is
-  // a usage error, not a run.
-  std::optional<faults::FaultPlan> fault_plan;
+  // a usage error, not a run. A kill plan would SIGKILL the daemon and
+  // every request in it, so it is refused the same way.
+  std::optional<faults::FaultInjector> injector;
   if (!request.faults.empty()) {
     auto plan = faults::FaultPlan::Parse(request.faults);
     if (!plan.ok()) return ErrorResponse(request.id, plan.status());
-    fault_plan = *plan;
+    if (plan->kill_at_superstep >= 0) {
+      return ErrorResponse(
+          request.id,
+          Status::InvalidArgument(
+              "fault plan: kill_at_superstep kills the whole process; only "
+              "the batch crash/restart harness may use it"));
+    }
+    injector.emplace(*plan);
   }
   const auto load_begin = Clock::now();
   auto graph_handle = residency_->Acquire(request.dataset, cancel);
@@ -567,6 +575,7 @@ Response Server::RunRequest(const Request& request,
       1.0 / static_cast<double>(options_.bench.scale_divisor);
   env.host_pool = pool;
   env.cancel = cancel;
+  env.faults = injector.has_value() ? &*injector : nullptr;
 
   // Aggregate-only exec counters ride the deep-tracing hooks without
   // spans or allocation; purely observational, so outputs stay
@@ -579,19 +588,8 @@ Response Server::RunRequest(const Request& request,
   const std::uint64_t steal_base = pool != nullptr ? pool->TotalSteals() : 0;
 
   const auto exec_begin = Clock::now();
-  Result<platform::RunResult> run = [&]() -> Result<platform::RunResult> {
-    if (fault_plan.has_value()) {
-      // Chaos isolation: the fault injector is process-global, so a
-      // faulted request runs EXCLUSIVELY — no clean job shares the
-      // process while the injector is armed.
-      faults::FaultInjector injector(*fault_plan);
-      std::unique_lock<std::shared_mutex> exclusive(exec_mutex_);
-      faults::ScopedGlobalInjector scoped(&injector);
-      return (*platform)->RunJob(graph, request.algorithm, params, env);
-    }
-    std::shared_lock<std::shared_mutex> shared(exec_mutex_);
-    return (*platform)->RunJob(graph, request.algorithm, params, env);
-  }();
+  Result<platform::RunResult> run =
+      (*platform)->RunJob(graph, request.algorithm, params, env);
   const std::int64_t exec_us = ElapsedMicros(exec_begin, Clock::now());
   metrics_.stage_execute->Record(exec_us);
   if (sheet.enabled()) {
@@ -716,10 +714,22 @@ void Server::ConnectionLoop(Connection* connection) {
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while ((newline = buffer.find('\n')) != std::string::npos &&
+           newline <= kMaxLineBytes) {
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       if (!line.empty()) HandleLine(connection, line);
+    }
+    if (std::min(newline, buffer.size()) > kMaxLineBytes) {
+      // An unbounded line would grow this buffer without limit: refuse
+      // it and hang up, which also cancels the connection's requests.
+      WriteResponse(connection,
+                    ErrorResponse("", Status::InvalidArgument(
+                                          "request line exceeds " +
+                                          std::to_string(kMaxLineBytes) +
+                                          " bytes; closing connection")));
+      ::shutdown(connection->fd, SHUT_RDWR);
+      break;
     }
   }
   // Disconnected client: cancel its in-flight requests so they free

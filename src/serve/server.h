@@ -21,9 +21,9 @@
 // ThreadPool (ThreadPool::Execute must not be entered concurrently).
 // The default of one executor gives every job the full pool and
 // serialises jobs — which is also the strongest memory degradation mode.
-// Fault-injected requests (chaos) install the PROCESS-GLOBAL fault
-// injector, so they take an exclusive lock over execution while clean
-// jobs share it: a faulted request never leaks faults into a neighbour.
+// A fault-injected request (chaos) carries its own injector on its job's
+// ExecutionEnvironment, so it runs beside clean jobs and its faults fail
+// only that job.
 #ifndef GRAPHALYTICS_SERVE_SERVER_H_
 #define GRAPHALYTICS_SERVE_SERVER_H_
 
@@ -34,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,11 +181,6 @@ class Server {
   /// by evicting the registry's RAM cache when an entry is dropped.
   harness::DatasetRegistry registry_;
   std::mutex registry_mutex_;
-
-  /// Chaos isolation: clean jobs run under a shared lock, fault-injected
-  /// jobs take it exclusively while the process-global injector is
-  /// installed.
-  std::shared_mutex exec_mutex_;
 
   /// Dedicated pool for dataset generation/loading. Only the residency
   /// loader uses it, always under registry_mutex_ — never concurrently

@@ -90,22 +90,5 @@ TEST(FaultInjectorTest, CorruptReadPoisonsStoreReads) {
   EXPECT_EQ(read.code(), StatusCode::kIoError);
 }
 
-TEST(FaultInjectorTest, ScopedGlobalInjectorInstallsAndRestores) {
-  ASSERT_EQ(GlobalInjector(), nullptr);
-  FaultPlan plan;
-  plan.corrupt_read = true;
-  FaultInjector injector(plan);
-  {
-    ScopedGlobalInjector scoped(&injector);
-    EXPECT_EQ(GlobalInjector(), &injector);
-    {
-      ScopedGlobalInjector inner(nullptr);  // explicit disable nests
-      EXPECT_EQ(GlobalInjector(), nullptr);
-    }
-    EXPECT_EQ(GlobalInjector(), &injector);
-  }
-  EXPECT_EQ(GlobalInjector(), nullptr);
-}
-
 }  // namespace
 }  // namespace ga::faults

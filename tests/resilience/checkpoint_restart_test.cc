@@ -48,7 +48,7 @@ Result<platform::RunResult> RunOnce(
                       platform::CreatePlatform(platform_id));
   platform::ExecutionEnvironment env = BaseEnv(pool);
   env.checkpoint = checkpoint;
-  faults::ScopedGlobalInjector scoped(injector);
+  env.faults = injector;
   return platform->RunJob(graph, algorithm, params, env);
 }
 

@@ -76,6 +76,43 @@ TEST(ParseRequestTest, RejectsMalformedRequests) {
   }
 }
 
+TEST(ParseRequestTest, IntegerFieldsMustBeIntegersInRange) {
+  for (const char* field : {"priority", "machines", "threads"}) {
+    for (const char* value :
+         {"1e300", "2.5", "-1", "20000000", "\"3\"", "null", "true"}) {
+      const std::string line =
+          std::string(R"({"op":"run","id":"x","dataset":"R1",")") + field +
+          "\":" + value + "}";
+      auto request = ParseRequest(line);
+      ASSERT_FALSE(request.ok()) << "accepted: " << line;
+      EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(request.status().message().find(field), std::string::npos)
+          << request.status().ToString();
+    }
+  }
+  // The bounds themselves are accepted.
+  auto low = ParseRequest(
+      R"({"op":"run","id":"x","dataset":"R1","priority":0,"machines":1,)"
+      R"("threads":1})");
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  EXPECT_EQ(low->priority, 0);
+  EXPECT_EQ(low->num_machines, 1);
+  EXPECT_EQ(low->threads_per_machine, 1);
+  auto high = ParseRequest(
+      R"({"op":"run","id":"x","dataset":"R1","priority":9,"machines":16,)"
+      R"("threads":32})");
+  ASSERT_TRUE(high.ok()) << high.status().ToString();
+  EXPECT_EQ(high->priority, kMaxPriority);
+  EXPECT_EQ(high->num_machines, kMaxMachines);
+  EXPECT_EQ(high->threads_per_machine, kMaxThreads);
+  for (const char* over :
+       {R"({"op":"run","id":"x","dataset":"R1","priority":10})",
+        R"({"op":"run","id":"x","dataset":"R1","machines":17})",
+        R"({"op":"run","id":"x","dataset":"R1","threads":33})"}) {
+    EXPECT_FALSE(ParseRequest(over).ok()) << over;
+  }
+}
+
 TEST(FormatResponseTest, CompletedResponseRoundTrips) {
   Response response;
   response.id = "r1";

@@ -255,6 +255,78 @@ TEST(ServerTest, ChaosRequestFailsWithoutLeakingIntoCleanRuns) {
   EXPECT_EQ(server.StatsSnapshot().faulted_requests, 1);
 }
 
+// A fault plan rides its own request's job. Here a validated clean
+// request and a faulted one overlap on two executors, pair after pair:
+// the faulted job stalls in its first loop while the clean job runs and
+// its reference run validates it, then aborts in its second loop. The
+// abort must fail the faulted request alone, with the same message as a
+// solo run, and leave the clean output byte-identical to a solo run.
+TEST(ServerTest, FaultedRequestsOverlapValidatedCleanRequests) {
+  ResponseCollector collector;
+  ServeOptions options = BaseOptions();
+  // G22 at 1/1024 has 4096 vertices, so every loop over the vertices has
+  // the slot the plan's seed picks for the abort.
+  options.bench.scale_divisor = 1024;
+  options.workers = 2;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Request clean = RunRequestFor("clean-solo", "G22", Algorithm::kPageRank);
+  clean.validate = true;
+  Request faulted = RunRequestFor("faulted-solo", "G22", Algorithm::kBfs);
+  faulted.faults = "stall_at_loop=1,stall_ms=200,abort_at_loop=2";
+
+  server.Submit(clean, collector.Callback());
+  const Response solo_clean = collector.WaitFor(clean.id);
+  ASSERT_EQ(solo_clean.status, "completed") << solo_clean.message;
+  ASSERT_TRUE(solo_clean.validated);
+  server.Submit(faulted, collector.Callback());
+  const Response solo_faulted = collector.WaitFor(faulted.id);
+  ASSERT_EQ(solo_faulted.status, "crashed") << solo_faulted.message;
+  ASSERT_NE(solo_faulted.message.find("injected worker-chunk abort"),
+            std::string::npos)
+      << solo_faulted.message;
+
+  constexpr int kPairs = 20;
+  for (int i = 0; i < kPairs; ++i) {
+    clean.id = "clean-" + std::to_string(i);
+    faulted.id = "faulted-" + std::to_string(i);
+    server.Submit(clean, collector.Callback());
+    server.Submit(faulted, collector.Callback());
+    const Response clean_response = collector.WaitFor(clean.id);
+    EXPECT_EQ(clean_response.status, "completed")
+        << clean.id << ": " << clean_response.message;
+    EXPECT_TRUE(clean_response.validated) << clean.id;
+    EXPECT_EQ(clean_response.output_fnv, solo_clean.output_fnv) << clean.id;
+    const Response faulted_response = collector.WaitFor(faulted.id);
+    EXPECT_EQ(faulted_response.status, "crashed") << faulted.id;
+    EXPECT_EQ(faulted_response.message, solo_faulted.message) << faulted.id;
+  }
+  const ServeStats stats = server.StatsSnapshot();
+  EXPECT_EQ(stats.completed, kPairs + 1);
+  EXPECT_EQ(stats.faulted_requests, kPairs + 1);
+  EXPECT_TRUE(server.Drain().ok());
+}
+
+// kill_at_superstep raises a real SIGKILL, which in the daemon would end
+// every request in flight: the plan is refused before residency.
+TEST(ServerTest, KillPlanIsRefusedBeforeResidency) {
+  ResponseCollector collector;
+  Server server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Request request = RunRequestFor("k1", "R1");
+  request.faults = "kill_at_superstep=1";
+  server.Submit(request, collector.Callback());
+  const Response refused = collector.WaitFor("k1");
+  EXPECT_EQ(refused.status, "error");
+  EXPECT_EQ(refused.code, "INVALID_ARGUMENT");
+  EXPECT_NE(refused.message.find("crash/restart harness"), std::string::npos)
+      << refused.message;
+  EXPECT_EQ(server.StatsSnapshot().residency_misses, 0);
+  // The daemon still serves.
+  server.Submit(RunRequestFor("after", "R1"), collector.Callback());
+  EXPECT_EQ(collector.WaitFor("after").status, "completed");
+}
+
 TEST(ServerTest, MalformedFaultPlanIsAUsageError) {
   ResponseCollector collector;
   Server server(BaseOptions());

@@ -193,6 +193,26 @@ TEST_F(TextImportTest, RejectsTrailingGarbageAndMissingWeight) {
   EXPECT_FALSE(unweighted.ok());
 }
 
+TEST_F(TextImportTest, RejectsNonFiniteWeightsWithFileAndLine) {
+  const std::string prefix = PathFor("nonfinite");
+  ImportOptions options;
+  options.directedness = Directedness::kDirected;
+  options.weighted = true;
+  for (const char* weight : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+    {
+      std::ofstream vfile(prefix + ".v");
+      vfile << "1\n2\n3\n";
+      std::ofstream efile(prefix + ".e");
+      efile << "1 2 0.5\n2 3 " << weight << "\n";
+    }
+    auto imported = ImportGraphText(prefix, options);
+    ASSERT_FALSE(imported.ok()) << "weight " << weight << " was accepted";
+    EXPECT_EQ(imported.status().code(), StatusCode::kIoError);
+    EXPECT_NE(imported.status().message().find(".e:2:"), std::string::npos)
+        << imported.status().ToString();
+  }
+}
+
 TEST_F(TextImportTest, MissingFilesAreCleanErrors) {
   ImportOptions options;
   auto imported = ImportGraphText(PathFor("nonexistent"), options);

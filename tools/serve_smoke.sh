@@ -2,9 +2,11 @@
 # Serve-daemon smoke (docs/SERVING.md): start the daemon on a unix
 # socket, drive a brief mixed load through a line-JSON client — clean
 # runs, a validated run, one fault-injected request, a shed burst past
-# the queue depth, a stats snapshot, and a telemetry scrape (the
-# `metrics` op must return valid Prometheus text with nonzero stage
-# histograms and shed counters; `top --frames 1` must render) — then
+# the queue depth, a stats snapshot, a telemetry scrape (the `metrics`
+# op must return valid Prometheus text with nonzero stage histograms and
+# shed counters; `top --frames 1` must render), and the refusals (a
+# kill_at_superstep plan, out-of-range integer fields, a line past the
+# 64 KiB cap, after which a new connection must still be served) — then
 # SIGTERM the daemon and require a graceful drain: exit 0, drain summary
 # printed, socket unlinked, and results + metrics logs whose every line
 # parses.
@@ -135,6 +137,49 @@ assert "ga_serve_resident_bytes" in samples, sorted(samples)[:20]
 assert sum(series("ga_exec_chunks_total").values()) > 0, \
     series("ga_exec_chunks_total")
 print("metrics scrape ok:", len(samples), "series")
+
+# A kill plan would SIGKILL the daemon with every request in it: it is
+# refused as a usage error, and the daemon keeps serving.
+send({"op": "run", "id": "k1", "algorithm": "bfs", "dataset": "R1",
+      "faults": "kill_at_superstep=1"})
+r = recv()
+assert r["status"] == "error" and r["code"] == "INVALID_ARGUMENT", r
+assert "crash/restart harness" in r["message"], r
+
+# Integer fields must be integers in range; each bad value is refused at
+# parse time (the reply has no id, since the request never parsed).
+for field, value in (("threads", 20000000), ("priority", 1e300),
+                     ("machines", 2.5), ("priority", -1)):
+    send({"op": "run", "id": "bad", "algorithm": "bfs", "dataset": "R1",
+          field: value})
+    r = recv()
+    assert r["status"] == "error" and field in r["message"], (field, r)
+send({"op": "run", "id": "c4", "algorithm": "bfs", "dataset": "R1"})
+r = recv(); assert r["status"] == "completed", r
+
+# A line past the 64 KiB cap gets an error reply and its connection is
+# closed; a new connection is still served.
+big = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+big.connect(sys.argv[1])
+try:
+    big.sendall(b"x" * (100 * 1024))
+except (BrokenPipeError, ConnectionResetError):
+    pass  # the daemon may hang up before the tail is written
+big_reader = big.makefile("r")
+r = json.loads(big_reader.readline())
+assert r["status"] == "error" and "exceeds" in r["message"], r
+assert big_reader.readline() == "", "connection left open after overflow"
+big.close()
+fresh = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+fresh.connect(sys.argv[1])
+fresh_file = fresh.makefile("rw")
+fresh_file.write(json.dumps({"op": "run", "id": "after-big",
+                             "algorithm": "bfs", "dataset": "R1"}) + "\n")
+fresh_file.flush()
+r = json.loads(fresh_file.readline())
+assert r["status"] == "completed", r
+fresh.close()
+print("refusals ok: kill plan, field ranges, line cap")
 print("client ok:", json.dumps(stats))
 EOF
 
